@@ -66,6 +66,12 @@ class Metric:
 GATED = {
     "BENCH_batch.json": [
         Metric("batch vs scalar lookup speedup", ("speedup",)),
+        # A 16-key get_many over 16 scalar gets: ~20 when every touched
+        # leaf pays a lock-step NumPy dispatch, near 2 with the sparse
+        # scalar lane.  Lower is better; the global tolerance lets it
+        # double, which still fails if sparse groups lose the lane.
+        Metric("small-batch get_many over scalar gets (16 keys)",
+               ("small_batch_ratio",), higher_is_better=False),
     ],
     "BENCH_shard.json": [
         Metric("read critical-path speedup over 1 shard",

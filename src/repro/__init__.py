@@ -12,8 +12,8 @@ Quickstart::
     assert index.lookup(123.456) == "payload"
     neighbours = index.range_scan(123.0, limit=10)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured results of every table and figure.
+See README.md for the CLI, the source layout and the map from each
+benchmark script to its committed ``BENCH_*.json`` artifact.
 """
 
 from .core import (

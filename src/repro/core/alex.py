@@ -50,7 +50,7 @@ from repro import obs
 from .adaptive import (build_adaptive_rmi, merge_leaves, split_leaf,
                        split_leaf_sideways, split_until_fits)
 from .config import ADAPTIVE_RMI, AlexConfig
-from .data_node import DataNode
+from .data_node import GAP_SENTINEL, DataNode
 from .errors import DuplicateKeyError, KeyNotFoundError
 from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      HeuristicPolicy, PressureEvent, SMO_EXPAND, SMO_MERGE,
@@ -201,7 +201,7 @@ class AlexIndex:
         keys = np.asarray(keys, dtype=np.float64)
         if keys.ndim != 1:
             raise ValueError(f"batch keys must be 1-D, got shape {keys.shape}")
-        if len(keys) <= 1 or bool((np.diff(keys) >= 0).all()):
+        if len(keys) <= 1 or bool((keys[1:] >= keys[:-1]).all()):
             return keys, None
         # Introsort, not stable: equal keys resolve to the same slot and
         # payload, and the write paths reject in-batch duplicates, so
@@ -403,11 +403,10 @@ class AlexIndex:
         # permute back to input order once at the end.
         sorted_out: list = [None] * n
         for leaf, _, lo, hi in self._route_many(skeys):
-            pos = self._find_keys_many_observed(leaf, skeys[lo:hi])
-            missing = np.flatnonzero(pos < 0)
-            if missing.size:
-                raise KeyNotFoundError(float(skeys[lo + int(missing[0])]))
-            sorted_out[lo:hi] = map(leaf.payloads.__getitem__, pos.tolist())
+            pos = self._find_keys_many_observed(leaf, skeys[lo:hi]).tolist()
+            if -1 in pos:
+                raise KeyNotFoundError(float(skeys[lo + pos.index(-1)]))
+            sorted_out[lo:hi] = map(leaf.payloads.__getitem__, pos)
         self.counters.lookups += n
         if order is None:
             return sorted_out
@@ -428,15 +427,15 @@ class AlexIndex:
         sorted_out: list = [default] * n
         found = 0
         for leaf, _, lo, hi in self._route_many(skeys):
-            pos = self._find_keys_many_observed(leaf, skeys[lo:hi])
+            pos = self._find_keys_many_observed(leaf, skeys[lo:hi]).tolist()
             payloads = leaf.payloads
-            hits = int((pos >= 0).sum())
-            if hits == hi - lo:  # no misses: C-level gather
-                sorted_out[lo:hi] = map(payloads.__getitem__, pos.tolist())
+            misses = pos.count(-1)
+            if not misses:  # C-level gather
+                sorted_out[lo:hi] = map(payloads.__getitem__, pos)
             else:
                 sorted_out[lo:hi] = [default if p < 0 else payloads[p]
-                                     for p in pos.tolist()]
-            found += hits
+                                     for p in pos]
+            found += hi - lo - misses
         self.counters.lookups += found
         if order is None:
             return sorted_out
@@ -735,21 +734,29 @@ class AlexIndex:
     def _collect_range(self, leaf: DataNode, pos: int, hi: float) -> list:
         """Collect ``(key, payload)`` pairs from ``leaf[pos:]`` onward along
         the leaf chain while keys stay ``<= hi`` (vectorized per-node
-        slicing shared by the scalar and batch range queries)."""
+        slicing shared by the scalar and batch range queries).
+
+        The gap-filled key array is non-decreasing, so one binary search
+        bounds the slots to visit; the scan ends at the first node holding
+        a real key above ``hi``."""
         out: list = []
         node: Optional[DataNode] = leaf
         while node is not None:
-            occ = np.flatnonzero(node.occupied[pos:]) + pos
+            keys = node.keys
+            end = pos + int(np.searchsorted(keys[pos:], hi, side="right"))
+            occ = np.flatnonzero(node.occupied[pos:end]) + pos
             if occ.size:
-                seg_keys = node.keys[occ]
-                cut = int(np.searchsorted(seg_keys, hi, side="right"))
                 payloads = node.payloads
-                for k, p in zip(seg_keys[:cut].tolist(), occ[:cut].tolist()):
+                for k, p in zip(keys[occ].tolist(), occ.tolist()):
                     out.append((k, payloads[p]))
                 node.counters.payload_bytes_copied += (
-                    cut * self.config.payload_size)
-                if cut < occ.size:
-                    return out
+                    occ.size * self.config.payload_size)
+            # Slot ``end`` holds a key above ``hi``: a real one, a gap
+            # mirroring a real one, or a trailing gap's +inf, which only
+            # ends the scan if a real +inf key sits among the trailing gaps.
+            if end < len(keys) and (keys[end] != GAP_SENTINEL
+                                    or node.occupied[end:].any()):
+                return out
             node = node.next_leaf
             pos = 0
             self.counters.pointer_follows += 1

@@ -75,6 +75,18 @@ class KernelBackend:
     name: str = "?"
     #: Whether the backend runs machine code rather than interpreter loops.
     compiled: bool = False
+    #: Sparse-lane crossovers: a batch group of fewer keys than this is
+    #: served by the scalar lane-width-1 routines, whose per-key cost
+    #: beats the lock-step routines' fixed per-call dispatch at that
+    #: size.  ``route_crossover`` applies to the keys an inner node
+    #: routes (:meth:`repro.core.rmi.InnerNode.child_groups` and the lone
+    #: keys of :func:`repro.core.rmi.route_batch`), ``search_crossover``
+    #: to the backend's own
+    #: :meth:`find_insert_pos_many` / :meth:`find_keys_many` (targets
+    #: per leaf).  Measured per backend and recorded in
+    #: ``BENCH_batch.json``; 0 means no lane.
+    route_crossover: int = 0
+    search_crossover: int = 0
 
     # -- lifecycle ----------------------------------------------------
 

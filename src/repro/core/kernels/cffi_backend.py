@@ -289,6 +289,11 @@ class CffiKernels(KernelBackend):
 
     name = "cffi"
     compiled = True
+    # Each batch call pays a few microseconds of buffer plumbing, so
+    # below 22 keys the scalar model routes faster.  The search has no
+    # lane: a scalar C call saves ~1 us on a lone target, and wrapping
+    # its result back into an array gives that back.
+    route_crossover = 22
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

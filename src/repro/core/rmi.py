@@ -97,12 +97,24 @@ class InnerNode:
         ``O(#groups)`` python work regardless of the node's slot count.
         One pointer follow is charged per *group* — the batch engine's
         amortization of per-key child dereferences.
+
+        Below the kernel backend's ``route_crossover`` the slots come
+        from the scalar model and each key starts its own run; the merge
+        of neighbouring runs bound for one child then yields the same
+        groups and charges as the vectorized path.
         """
-        slots = self.route_slots_many(keys[lo:hi])
-        changes = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
-        starts = [0] + changes
-        ends = changes + [hi - lo]
-        slot_list = slots.tolist()
+        n = hi - lo
+        if n < self.kernels.route_crossover:
+            self.counters.model_inferences += n
+            predict, size = self.model.predict_pos, self.num_slots
+            slot_list = [predict(key, size) for key in keys[lo:hi].tolist()]
+            starts, ends = range(n), range(1, n + 1)
+        else:
+            slots = self.route_slots_many(keys[lo:hi])
+            changes = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
+            starts = [0] + changes
+            ends = changes + [n]
+            slot_list = slots.tolist()
         children = self.children
         prev_child = None
         prev_lo = prev_hi = 0
@@ -176,6 +188,14 @@ def route_batch(node, keys: np.ndarray, parent: Optional[InnerNode] = None):
     stack = [(node, parent, 0, len(keys))]
     while stack:
         nd, par, lo, hi = stack.pop()
+        if hi - lo == 1 and isinstance(nd, InnerNode) \
+                and nd.kernels.route_crossover > 1:
+            # A lone key finishes its descent on the scalar lane: per
+            # level the same one inference and one follow a one-key
+            # group charges, without a generator per level.
+            key = float(keys[lo])
+            while isinstance(nd, InnerNode):
+                nd, par = nd.child_for(key), nd
         if not isinstance(nd, InnerNode):
             append((nd, par, lo, hi))
             continue

@@ -204,6 +204,11 @@ class FlightRecorder:
     All mutation and iteration happens under one lock: spans commit
     from request threads while snapshots run from the dashboard thread,
     and a ``deque`` refuses iteration concurrent with appends.
+
+    Beside the ring sits an index from trace id to that trace's ring
+    spans, as ``(sequence, record)`` pairs in commit order, evicted in
+    step with the ring; a slow-root harvest then costs the spans of the
+    harvested traces, not a scan of the whole ring.
     """
 
     def __init__(self, buffer: Optional[int] = None,
@@ -215,10 +220,27 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._spans: deque = deque(maxlen=buffer)
         self._slow: deque = deque(maxlen=slow_keep)
+        self._by_trace: Dict[str, deque] = {}
+        self._seq = 0
+
+    def _append(self, rec: dict) -> None:
+        """Ring append plus index upkeep; the caller holds the lock."""
+        if len(self._spans) == self._spans.maxlen:
+            evicted = self._spans[0]["trace"]
+            bucket = self._by_trace[evicted]
+            bucket.popleft()  # FIFO ring: a trace's oldest span goes first
+            if not bucket:
+                del self._by_trace[evicted]
+        self._spans.append(rec)
+        bucket = self._by_trace.get(rec["trace"])
+        if bucket is None:
+            bucket = self._by_trace[rec["trace"]] = deque()
+        bucket.append((self._seq, rec))
+        self._seq += 1
 
     def commit(self, rec: dict) -> None:
         with self._lock:
-            self._spans.append(rec)
+            self._append(rec)
 
     def finish_root(self, rec: dict) -> None:
         """Called after a root span commits: when it ran slow, harvest
@@ -233,16 +255,21 @@ class FlightRecorder:
             ids.add(batch)
         ids.update(rec.get("links", ()))
         with self._lock:
-            spans = [s for s in self._spans if s["trace"] in ids]
+            hits = [entry for tid in ids
+                    for entry in self._by_trace.get(tid, ())]
+            if len(ids) > 1:
+                hits.sort(key=lambda entry: entry[0])  # ring order
             self._slow.append({
                 "trace": rec["trace"], "name": rec["name"],
-                "dur": rec["dur"], "start": rec["start"], "spans": spans,
+                "dur": rec["dur"], "start": rec["start"],
+                "spans": [span for _, span in hits],
             })
 
     def absorb(self, snap: dict) -> None:
         """Fold another recorder's snapshot (a worker's drain) in."""
         with self._lock:
-            self._spans.extend(snap.get("spans", ()))
+            for rec in snap.get("spans", ()):
+                self._append(rec)
             self._slow.extend(snap.get("slow", ()))
 
     def snapshot(self) -> dict:
@@ -254,14 +281,17 @@ class FlightRecorder:
         back, so repeated pulls never re-send old spans."""
         with self._lock:
             snap = {"spans": list(self._spans), "slow": list(self._slow)}
-            self._spans.clear()
-            self._slow.clear()
+            self._clear()
             return snap
+
+    def _clear(self) -> None:
+        self._spans.clear()
+        self._slow.clear()
+        self._by_trace.clear()
 
     def clear(self) -> None:
         with self._lock:
-            self._spans.clear()
-            self._slow.clear()
+            self._clear()
 
 
 _recorder = FlightRecorder()

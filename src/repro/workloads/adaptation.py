@@ -209,7 +209,7 @@ def run_adaptation_scenario(policy: AdaptationPolicy, scenario: str,
     Builds a fresh :class:`AlexIndex` (default config: ``ga_armi()`` with
     a 256-key node bound — small enough that the traces generate real
     structural pressure), replays the trace, and returns simulated
-    throughput (counter-weighted, DESIGN.md §6), space, structure shape,
+    throughput (counter-weighted, README "Simulated time"), space, shape,
     and the policy's SMO tallies.  Deterministic for a given seed.
     """
     if cost_model is None:

@@ -14,6 +14,7 @@ by these tests inherits, so scalar/batch equivalence — results and
 counters — is asserted under the compiled kernels too.
 """
 
+import contextlib
 import zlib
 
 import numpy as np
@@ -24,8 +25,9 @@ from repro.core.batch import bulk_insert
 from repro.core.config import ga_armi, ga_srmi, pma_armi, pma_srmi
 from repro.core.errors import KeyNotFoundError
 from repro.core.gapped_array import GappedArrayNode
-from repro.core.kernels import available_backends
+from repro.core.kernels import available_backends, get_kernels
 from repro.core.pma import PMANode
+from repro.core.policy import CostModelPolicy
 from repro.core.rmi import InnerNode
 from repro.core.stats import Counters
 
@@ -314,6 +316,75 @@ class TestRangeQueryManyEquivalence:
             assert result == index.range_query(float(lo), float(hi))
 
 
+def unbounded_range(index, lo, hi):
+    """Reference range query: gather every occupied slot of each leaf
+    tail, stopping at the first leaf holding a key above ``hi``."""
+    leaf, _ = index._route(lo)
+    index.counters.scans += 1
+    pos = leaf.find_insert_pos(lo)
+    out = []
+    while leaf is not None:
+        occ = np.flatnonzero(leaf.occupied[pos:]) + pos
+        if occ.size:
+            seg = leaf.keys[occ]
+            cut = int(np.searchsorted(seg, hi, side="right"))
+            out += [(k, leaf.payloads[p]) for k, p
+                    in zip(seg[:cut].tolist(), occ[:cut].tolist())]
+            leaf.counters.payload_bytes_copied += (
+                cut * index.config.payload_size)
+            if cut < occ.size:
+                return out
+        leaf = leaf.next_leaf
+        pos = 0
+        index.counters.pointer_follows += 1
+    return out
+
+
+@pytest.mark.parametrize("variant", CONFIGS, ids=list(CONFIGS))
+class TestRangeCollection:
+    """The bounded leaf scan must return and charge what a scan of each
+    whole leaf tail does: ranges ending among trailing gaps (+inf),
+    crossing leaves, and running to hi = +inf."""
+
+    def test_matches_unbounded_scan(self, variant):
+        rng = np.random.default_rng(_seed(("collect", variant)))
+        keys = np.unique(rng.uniform(0, 1e9, 3200))[:3000]
+        index = AlexIndex.bulk_load(keys, config=CONFIGS[variant]())
+        twin = AlexIndex.bulk_load(keys, config=CONFIGS[variant]())
+        leaves = list(index.leaves())
+        firsts = [leaf.keys[leaf.occupied][0] for leaf in leaves]
+        lasts = [leaf.keys[leaf.occupied][-1] for leaf in leaves]
+        trailing = [i for i, leaf in enumerate(leaves[:-1])
+                    if not leaf.occupied[-1]]
+        assert trailing and len(leaves) > 4
+        bounds = [(firsts[i], (lasts[i] + firsts[i + 1]) / 2)
+                  for i in trailing]              # ends in trailing gaps
+        bounds += [(lasts[i] - 1.0, firsts[i + 3] + 1.0)
+                   for i in range(len(leaves) - 3)]  # crosses leaves
+        bounds += [(float(lo), np.inf)             # runs off the chain
+                   for lo in rng.choice(keys, 5)] + [(-np.inf, np.inf)]
+        bounds += [(float(lo), float(lo) + 1e7)
+                   for lo in rng.uniform(-1e8, 1.1e9, 40)]
+        for lo, hi in bounds:
+            got = index.range_query(lo, hi)
+            assert got == unbounded_range(twin, lo, hi)
+            assert got == [(k, None) for k in keys[(keys >= lo)
+                                                   & (keys <= hi)]]
+            assert index.counters == twin.counters
+        los, his = np.array(bounds).T
+        assert index.range_query_many(los, his) == [
+            index.range_query(lo, hi) for lo, hi in bounds]
+
+    def test_stored_infinite_key_ends_the_scan(self, variant):
+        keys = np.append(np.arange(500.0), np.inf)
+        with np.errstate(invalid="ignore"):  # inf breaks the model fit
+            index = AlexIndex.bulk_load(keys, config=CONFIGS[variant]())
+            twin = AlexIndex.bulk_load(keys, config=CONFIGS[variant]())
+        for lo, hi in ((495.0, 1e300), (0.0, np.inf), (499.5, 1e300)):
+            assert index.range_query(lo, hi) == unbounded_range(twin, lo, hi)
+            assert index.counters == twin.counters
+
+
 class TestScalarFastPath:
     """The single-key fast path must stay observationally identical to the
     batch engine with a one-element batch."""
@@ -345,6 +416,113 @@ class TestScalarFastPath:
         index.counters.reset()
         index.lookup_many(hits)
         assert index.counters.lookups == scalar_lookups == 100
+
+
+@contextlib.contextmanager
+def lockstep_only(kernels):
+    """Force every group through the lock-step kernels (crossovers 0)."""
+    kernels.route_crossover = kernels.search_crossover = 0
+    try:
+        yield
+    finally:
+        del kernels.route_crossover, kernels.search_crossover
+
+
+def crossover_sizes(kernels):
+    """Batch sizes {1, T-1, T, T+1, 4T} around each nonzero crossover T."""
+    sizes = set()
+    for t in (kernels.route_crossover, kernels.search_crossover):
+        if t:
+            sizes.update(s for s in (1, t - 1, t, t + 1, 4 * t) if s > 0)
+    return sorted(sizes or {1})
+
+
+class RecordingPolicy(CostModelPolicy):
+    """A CostModelPolicy that logs every pressure event with its leaf."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def record(self, node, event):
+        self.events.append((float(node.keys[0]), node.capacity, event))
+        super().record(node, event)
+
+
+def gap_mirrored_key(index):
+    """A stored key whose slot follows a gap: its lower bound lands on
+    the gap mirroring it, so resolving it walks right."""
+    for leaf in index.leaves():
+        occ = leaf.occupied
+        for p in np.flatnonzero(occ[1:] & ~occ[:-1]) + 1:
+            return float(leaf.keys[p])
+    raise AssertionError("no gap-preceded key in the index")
+
+
+@pytest.mark.parametrize("variant", ["ga-armi", "pma-srmi"])
+@pytest.mark.parametrize("shape", ["spread", "one-leaf"])
+class TestSparseLaneCrossover:
+    """Groups on either side of the kernel backend's crossovers (routing
+    per inner node, search per leaf) must return what a scalar loop
+    returns and charge exactly what the lock-step path charges — every
+    Counters field and every CostModelPolicy pressure event."""
+
+    def test_lane_matches_lockstep_and_scalar(self, variant, shape,
+                                              kernel_backend):
+        kernels = get_kernels(kernel_backend)
+        rng = np.random.default_rng(_seed(("lane", variant, shape)))
+        keys = np.unique(rng.uniform(0, 1e9, 3200))[:3000]
+        payloads = [f"p{i}" for i in range(len(keys))]
+
+        def build():
+            policy = RecordingPolicy()
+            return AlexIndex.bulk_load(keys, payloads,
+                                       config=CONFIGS[variant](),
+                                       policy=policy), policy
+
+        (lane, lane_policy), (lock, lock_policy) = build(), build()
+        scalar, _ = build()
+        walk = gap_mirrored_key(scalar)
+        widest = max(scalar.leaves(), key=lambda leaf: leaf.num_keys)
+        span = widest.keys[widest.occupied]
+        for size in crossover_sizes(kernels):
+            if shape == "spread":  # ~1 target per leaf, size per root
+                probes = probe_mix(keys, rng, size)
+            else:  # every target in one leaf: one search group of size
+                probes = np.concatenate([
+                    rng.choice(span, size - size // 2),
+                    rng.uniform(span[0], span[-1], size // 2)])
+            probes[0] = walk
+            hits = np.where(np.isin(probes, keys), probes, walk)
+            his = probes + rng.uniform(0, 2e6, size)
+
+            def run(index):
+                out = [index.get_many(probes, "MISS"),
+                       index.contains_many(probes).tolist(),
+                       index.lookup_many(hits),
+                       index.range_query_many(probes, his)]
+                try:
+                    index.lookup_many(probes)
+                    out.append(None)
+                except KeyNotFoundError as exc:
+                    out.append(exc.key)
+                return out
+
+            got = run(lane)
+            with lockstep_only(kernels):
+                assert run(lock) == got
+            assert lane.counters == lock.counters
+            assert lane_policy.events == lock_policy.events
+
+            sorted_probes = np.sort(probes).tolist()
+            missing = [k for k in sorted_probes if not scalar.contains(k)]
+            assert got == [
+                [scalar.get(float(k), "MISS") for k in probes],
+                [scalar.contains(float(k)) for k in probes],
+                [scalar.lookup(float(k)) for k in hits],
+                [scalar.range_query(float(lo), float(hi))
+                 for lo, hi in zip(probes, his)],
+                missing[0] if missing else None]
 
 
 class TestWorkloadRunnerBatching:

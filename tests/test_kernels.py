@@ -208,6 +208,69 @@ class TestWriteKernelParity:
             assert o1.tolist() == o2.tolist()
 
 
+def lane_sizes(crossover):
+    """Group sizes {1, T-1, T, T+1, 4T} around a crossover T (just 1 and
+    2 for a backend without that lane)."""
+    return sorted({s for s in (1, 2, crossover - 1, crossover,
+                               crossover + 1, 4 * crossover) if s > 0})
+
+
+@backend_params()
+class TestSparseLane:
+    """Groups on either side of a backend's crossovers must match the
+    lock-step kernels (crossovers forced to 0) in positions and charges."""
+
+    @pytest.mark.parametrize("has_model", [True, False],
+                             ids=["model", "cold"])
+    def test_search_lane_matches_lockstep(self, backend, has_model,
+                                          monkeypatch):
+        rng = np.random.default_rng(17 + has_model)
+        keys, occ, raw = make_node_arrays(rng, 600)
+        slope, intercept = model_of(keys, occ)
+        # A stored key right after a gap: its lower bound is the gap
+        # mirroring it, so resolving it walks right.
+        walk = float(keys[np.flatnonzero(occ[1:] & ~occ[:-1])[0] + 1])
+        assert NUMPY.find_key(keys, occ, walk, has_model, slope,
+                              intercept)[2] > 0
+        args = (has_model, slope, intercept)
+        for size in lane_sizes(backend.search_crossover):
+            targets = probe_targets(rng, raw, 4 * size)[:size]
+            targets[0] = walk
+            got = (backend.find_keys_many(keys, occ, targets, *args),
+                   backend.find_insert_pos_many(keys, targets, *args))
+            with monkeypatch.context() as patch:
+                patch.setattr(backend, "search_crossover", 0)
+                want = (backend.find_keys_many(keys, occ, targets, *args),
+                        backend.find_insert_pos_many(keys, targets, *args))
+            assert got[0][0].dtype == got[1][0].dtype == np.int64
+            assert got[0][0].tolist() == want[0][0].tolist()
+            assert got[0][1:] == want[0][1:]
+            assert got[1][0].tolist() == want[1][0].tolist()
+            assert got[1][1] == want[1][1]
+
+    def test_route_lane_matches_lockstep(self, backend, monkeypatch):
+        rng = np.random.default_rng(23)
+        keys = np.unique(rng.uniform(0, 1e8, 20000))
+        index = AlexIndex.bulk_load(
+            keys, config=ga_armi(kernel_backend=backend.name))
+        root = next(index.nodes())
+        for size in lane_sizes(backend.route_crossover):
+            # Hits, misses and out-of-range keys, offset by lo = 3 the
+            # way route_batch hands a parent's group to a child.
+            batch = np.sort(np.concatenate([
+                [-1e9, -1e9, -1e9], probe_targets(rng, keys, 4 * size)]))
+            runs = []
+            for crossover in (backend.route_crossover, 0):
+                with monkeypatch.context() as patch:
+                    patch.setattr(backend, "route_crossover", crossover)
+                    counters = Counters()
+                    root.counters = counters
+                    groups = [(id(child), lo, hi) for child, lo, hi
+                              in root.child_groups(batch, 3, 3 + size)]
+                    runs.append((groups, counters))
+            assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("name", COMPILED or ["numpy"])
 class TestEndToEndCounterParity:
     """An index built on a compiled backend must report the *same work

@@ -207,6 +207,62 @@ class TestFlightRecorder:
             names = [s["name"] for s in trace.assemble(entry, snap)]
             assert names == ["req1", "req2", "batch"]
 
+    def test_indexed_harvest_matches_a_ring_scan(self, obs_on):
+        # The slow store must hold exactly what a scan of the ring would
+        # harvest — member traces, batch fan-in both ways, and traces
+        # the ring has partly evicted — so assemble() sees no change.
+        from collections import deque
+
+        rng = np.random.default_rng(13)
+        recorder = trace.FlightRecorder(buffer=16, slow_keep=10_000)
+        ring = deque(maxlen=16)
+        want_slow = []
+        clock = iter(range(10**9))
+
+        def commit(tid, name, parent="p", dur=1, **extra):
+            rec = {"trace": tid, "span": trace._new_id(), "parent": parent,
+                   "name": name, "start": next(clock), "dur": dur,
+                   "pid": 1, **extra}
+            recorder.commit(rec)
+            ring.append(rec)
+            if parent is None:
+                recorder.finish_root(rec)
+                if dur >= 5e6:
+                    ids = {tid, *rec.get("links", ())}
+                    if rec.get("batch"):
+                        ids.add(rec["batch"])
+                    want_slow.append([s for s in ring if s["trace"] in ids])
+
+        for b in range(40):
+            # A long trace spans ~3 batches, so the ring has often
+            # evicted its first span by the time its root finishes.
+            commit(f"long{b}", "early")
+            if b >= 3:
+                commit(f"long{b - 3}", "root", parent=None, dur=9e6)
+            batch = f"b{b}"
+            members = [f"m{b}.{i}" for i in range(rng.integers(1, 5))]
+            for m in members:
+                for k in range(rng.integers(0, 4)):
+                    commit(m, f"kid{k}")
+            for k in range(rng.integers(1, 4)):
+                commit(batch, f"op{k}")
+            commit(batch, "batch", parent=None, links=members,
+                   dur=float(rng.choice([1e6, 9e6])))
+            for m in members:
+                commit(m, "request", parent=None, batch=batch,
+                       dur=float(rng.choice([1e6, 9e6])))
+
+        snap = recorder.snapshot()
+        assert snap["spans"] == list(ring)
+        assert [entry["spans"] for entry in snap["slow"]] == want_slow
+        reference = {"spans": list(ring),
+                     "slow": [{"spans": spans} for spans in want_slow]}
+        tids = {s["trace"] for entry in want_slow for s in entry}
+        assert tids
+        for tid in tids:
+            assert trace.assemble(tid, snap) == trace.assemble(tid,
+                                                               reference)
+
 
 # ---------------------------------------------------------------------------
 # Histogram exemplars
